@@ -247,13 +247,14 @@ class InterfaceSession:
         """The current interface compiled to its HTML page, incrementally.
 
         Byte-identical to ``compile_html(session.interface, ...)``, but
-        steady-state cost is proportional to the *dirty* part of the
-        page: the session's :class:`IncrementalCompiler` consumes the
-        merge layer's per-path partition revisions, so only widgets whose
-        partition moved since the last compile re-render, and only
-        closure combinations involving a dirty widget re-render (and,
-        with a database, re-execute — gated on the session's closure
-        proofs).  The compiler survives appends; call this after each
+        steady-state cost is proportional to the *new choices* on the
+        page: the session's :class:`IncrementalCompiler` reuses a
+        widget's rendering while its type and choice list are unchanged,
+        renders only the new options when the list grew at its end, and
+        re-renders (and, with a database, re-executes — gated on the
+        session's closure proofs) only the closure combinations that
+        select a new choice.  An append that adds no choice reuses the
+        whole page.  The compiler survives appends; call this after each
         append for the incremental saving.
 
         Raises:
@@ -263,9 +264,7 @@ class InterfaceSession:
         compiler = self._compiler_for(title, database, limit, columns)
         self._adopt_cached_proofs()
         page = compiler.compile(
-            self._last.interface,
-            index=self._map_cache.index,
-            closure_cache=self._closure_cache,
+            self._last.interface, closure_cache=self._closure_cache
         )
         return page.html()
 
@@ -280,6 +279,9 @@ class InterfaceSession:
         the previous compile: replaced widget blocks plus the closure
         delta (wire format of :func:`repro.compiler.incremental.make_patch`).
 
+        Same reuse as :meth:`compile`, so the delta covers only widgets
+        whose choices or labels changed and combinations that select a
+        new choice; an append that adds no choice yields an empty delta.
         The first call (or a title/layout change) returns a full
         ``kind="page"`` patch; :func:`repro.compiler.incremental.apply_patch`
         folds the stream into a page state whose
@@ -293,9 +295,7 @@ class InterfaceSession:
         compiler = self._compiler_for(title, database, limit, columns)
         self._adopt_cached_proofs()
         return compiler.compile_patch(
-            self._last.interface,
-            index=self._map_cache.index,
-            closure_cache=self._closure_cache,
+            self._last.interface, closure_cache=self._closure_cache
         )
 
     def _compiler_for(

@@ -19,7 +19,8 @@ compiler (:mod:`repro.compiler.incremental`) can reuse them verbatim:
 * :func:`build_choice_list` — a widget's enumerable states;
 * :func:`render_control_body` — the expensive per-widget rendering (the
   ``<option>`` labels, or the checkbox ``data-on`` index for presence
-  toggles);
+  toggles), built from :func:`render_options` so a select body can be
+  extended by its new options alone;
 * :func:`render_widget_block` — the cheap per-widget block assembly;
 * :func:`render_closure_entry` — one closure combination's SQL (and,
   with a database, its executed result);
@@ -50,6 +51,7 @@ __all__ = [
     "compile_html",
     "build_choice_list",
     "render_control_body",
+    "render_options",
     "render_widget_block",
     "render_closure_entry",
     "assemble_page",
@@ -187,11 +189,20 @@ def render_control_body(
     on_index = _checkbox_on_index(widget, choices)
     if on_index is not None:
         return ("checkbox", str(on_index))
-    options = "".join(
+    return ("select", render_options(choices))
+
+
+def render_options(choices: list[Node | None | str], start: int = 0) -> str:
+    """The escaped ``<option>`` fragments of ``choices[start:]``.
+
+    Options are independent of each other, so a select body extends by
+    concatenation: ``render_options(c)`` equals
+    ``render_options(c[:n]) + render_options(c, n)`` for every ``n``.
+    """
+    return "".join(
         f'<option value="{i}">{html_escape.escape(_option_label(c) if not isinstance(c, str) else c)}</option>'
-        for i, c in enumerate(choices)
+        for i, c in enumerate(choices[start:], start)
     )
-    return ("select", options)
 
 
 def render_widget_block(

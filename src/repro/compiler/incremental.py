@@ -4,38 +4,42 @@
 re-enumerates the full closure product, even when an append moved a single
 diff partition.  This module maintains the compiled artifact under appends
 instead — the incremental-view-maintenance shape of Berkholz et al.
-("Answering FO+MOD queries under updates"): pay for the dirty part only.
+("Answering FO+MOD queries under updates"): pay for the new choices only.
 
+Reuse is proved from exactly what the page renders for a widget: its
+picked type, its path, its choice list (:func:`build_choice_list`), and
+``domain.node_types`` when ``None`` is a choice (the only other input
+:func:`~repro.core.closure.apply_widget_choice` reads).  The widget's
+diff list ``D`` is deliberately *not* an input: an append that lands a
+diff in a widget without adding a choice changes nothing on the page.
 Three layers make that correct *and* byte-identical to a full recompile:
 
-* **Per-widget artifacts.**  Every widget's expensive rendering — its
-  choice list and its control body (the ``<option>`` labels, or a
-  presence toggle's checkbox) — is cached in a
-  :class:`WidgetArtifact`, keyed by the widget's path and guarded by the
-  merge layer's dirtiness signal.  A widget's domain is a deterministic
-  function of its picked type and its diff list ``D`` — the merge
-  outcome the :class:`~repro.core.mapper.PartitionIndex` maintains — so
-  an unchanged ``(type, D)`` identity proves the cached rendering still
-  exact even when merging restructured *neighbouring* partitions (a
-  per-path revision counter alone is not enough: merging can move a diff
-  between partitions without updating the losing partition, see
-  :meth:`IncrementalCompiler._artifact_for`).  Clean widgets are also
-  the *same objects* across appends (the merge memo), so identity is
-  accepted as an equivalent proof.
+* **Per-widget artifacts.**  Every widget's choice list, control body
+  (the ``<option>`` labels, or a presence toggle's checkbox) and
+  per-choice keys are cached in a :class:`WidgetArtifact`, keyed by the
+  widget's path.  An artifact is reused when the type and ``node_types``
+  match and the cached choices equal the new ones element-wise (``is``
+  or ``Node.equals``).  When the cached list is a proper prefix of the
+  new one — a domain that grew at its end, the steady state of an
+  append-only log — the artifact is *extended*: only the new
+  ``<option>`` fragments render, and the fingerprint continues from the
+  running sha256.
 
-* **Closure slices.**  The closure table is maintained as a delta.  Each
-  combination's entry is cached under its *selection signature* — the
-  ``(widget fingerprint, choice index)`` pairs of its non-default
-  choices.  Fingerprints are content hashes (sha256 over the picked type,
-  path, rendered domain labels, and the initialising diff-table indices
-  — never the process-salted ``Node.fingerprint``), so a combination
-  touching only clean widgets replays its cached slice byte-identically;
-  only combinations involving a dirty widget are re-rendered and, with a
-  database attached, re-executed.  Before executing, the session's
+* **Closure slices.**  Each combination's closure entry is cached under
+  its *selection signature*: the per-choice keys of its non-default
+  choices, in grid order.  A choice key is a sha256 digest of the
+  widget's type, path, and the canonical encoding of the choice subtree
+  (plus ``node_types`` for the ``None`` choice) — never the
+  process-salted ``Node.fingerprint`` and never an option label, which
+  two different subtrees can share.  A combination therefore re-renders
+  (and, with a database, re-executes) only when one of its own choices
+  is new.  Before executing, the session's
   :class:`~repro.core.closure.ClosureCache` proofs are consulted: a
-  combination whose cover proof is already recorded replays the execution
-  memo, and newly rendered combinations record their (by-construction
-  sound) proof, warming ``session.expresses()``.
+  combination whose cover proof is already recorded replays the
+  execution memo, and newly rendered combinations record their
+  (by-construction sound) proof, warming ``session.expresses()``.  After
+  every compile the cache keeps only the slices the new page uses, so it
+  never holds more than ``limit`` entries.
 
 * **Patches.**  :meth:`IncrementalCompiler.compile_patch` emits the
   structural difference between consecutive pages — replaced widget
@@ -53,24 +57,25 @@ still fingerprint the same.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
 from itertools import product
 from typing import Any
 
 from repro.compiler.html import (
-    _option_label,
+    _checkbox_on_index,
     assemble_page,
     build_choice_list,
     compose_query,
     render_closure_entry,
     render_control_body,
+    render_options,
     render_widget_block,
 )
 from repro.compiler.layout import grid_layout
 from repro.compiler.runtime import Database
 from repro.core.closure import ClosureCache
 from repro.core.interface import Interface, as_interface
-from repro.core.mapper import PartitionIndex
 from repro.errors import CompileError
 from repro.paths import Path
 from repro.sqlparser.astnodes import Node
@@ -92,30 +97,76 @@ __all__ = [
 #: a payload of a different version.
 PATCH_VERSION = 1
 
+Choice = Node | None | str
 
-def widget_fingerprint(widget: Widget) -> str:
-    """Process-stable content hash of a widget.
 
-    Derived from the picked widget type, the path, the rendered domain
-    entry labels (deterministic SQL text), and the widget's initialising
-    diff-table indices — everything the compiled control depends on.
-    Deliberately *not* built from ``Node.fingerprint``/``skeleton``,
-    which are process-salted and must never reach a persisted payload
-    (lint rule RL006).
+def _tree(node: Node) -> list[Any]:
+    """``[type, sorted attributes, children]`` — the JSON shape of a
+    subtree's canonical encoding.  An integral float is encoded as the
+    int it equals: ``Node.equals`` (and the renderer) cannot tell
+    ``10.0`` from ``10``, and a store round trip may turn one into the
+    other."""
+    return [
+        node.node_type,
+        [
+            [name, int(value) if isinstance(value, float) and value.is_integer() else value]
+            for name, value in sorted(node.attributes.items())
+        ],
+        [_tree(child) for child in node.children],
+    ]
+
+
+def _encode_choice(choice: Choice, none_types: frozenset[str] | None) -> bytes:
+    """Canonical, process-stable and self-delimiting encoding of one
+    choice: everything :func:`~repro.core.closure.apply_widget_choice`
+    reads of it.  ``None`` carries the domain's node types (the guard on
+    which elements it may delete); a subtree is its full JSON structure,
+    so subtrees that merely render to the same option label differ.
     """
+    if choice is None:
+        payload: Any = [None, sorted(none_types or ())]
+    elif isinstance(choice, Node):
+        payload = _tree(choice)
+    else:
+        payload = [choice]
+    # json escapes control characters, so the separator is unambiguous
+    return json.dumps(payload, default=repr).encode("utf-8") + b"\x1f"
+
+
+def _key_base(widget: Widget) -> Any:
+    """The sha256 state every key of ``widget`` starts from."""
     digest = hashlib.sha256()
     digest.update(widget.widget_type.name.encode("utf-8"))
     digest.update(b"\x00")
     digest.update(str(widget.path).encode("utf-8"))
     digest.update(b"\x00")
-    digest.update(b"1" if widget.domain.includes_none else b"0")
-    for entry in widget.domain.entries():
-        digest.update(b"\x1f")
-        digest.update(_option_label(entry).encode("utf-8"))
-    for diff in sorted(widget.D, key=lambda d: (d.q1, d.q2)):
-        digest.update(b"\x1e")
-        digest.update(f"{diff.q1},{diff.q2}".encode("utf-8"))
-    return digest.hexdigest()[:16]
+    return digest
+
+
+def _none_types(widget: Widget, choices: list[Choice]) -> frozenset[str] | None:
+    """``domain.node_types`` when ``None`` is one of the choices, else
+    ``None`` (the types are then never read)."""
+    if widget.domain.includes_none and any(c is None for c in choices):
+        return widget.domain.node_types
+    return None
+
+
+def widget_fingerprint(widget: Widget) -> str:
+    """Process-stable content hash of what a widget renders.
+
+    A sha256 over the picked widget type, the path, and the canonical
+    encoding of every choice in :func:`build_choice_list` order (the
+    ``None`` choice with the domain's node types).  The diff list ``D``
+    is not an input: two widgets with the same fingerprint compile to
+    the same control and the same closure slices.  Deliberately *not*
+    built from ``Node.fingerprint``/``skeleton``, which are
+    process-salted and must never reach a persisted payload (lint rule
+    RL006).
+    """
+    choices = build_choice_list(widget)
+    none_types = _none_types(widget, choices)
+    tag = widget.widget_type.name
+    return _artifact(tag, _key_base(widget), None, choices, none_types, "", "").fingerprint
 
 
 @dataclass
@@ -124,20 +175,59 @@ class WidgetArtifact:
 
     ``(kind, body)`` is the expensive position-independent rendering (see
     :func:`~repro.compiler.html.render_control_body`); the block itself is
-    reassembled per page because the element id is positional.
-    ``identity`` is the cheap reuse proof — the picked type plus the
-    diff-list coordinates the domain was derived from — and ``revision``
-    records the partition revision observed at render time (diagnostics;
-    reuse is decided by ``identity``).
+    reassembled per page because the element id is positional.  The
+    reuse proof is ``(tag, choices, none_types)`` under the artifact's
+    path.  ``choice_keys[i]`` is choice ``i``'s slice key (index 0, the
+    "(unchanged)" state, never enters a signature), and ``running`` is
+    the sha256 state behind ``fingerprint``, kept so an extended choice
+    list hashes only its new choices.
     """
 
+    tag: str
+    choices: list[Choice]
+    none_types: frozenset[str] | None
+    base: Any
+    running: Any
+    choice_keys: list[bytes]
     fingerprint: str
-    identity: tuple[str, tuple[tuple[int, int, str, str], ...]]
-    revision: int | None
-    widget: Widget
-    choices: list[Node | None | str]
     kind: str
     body: str
+
+
+def _artifact(
+    tag: str,
+    base: Any,
+    grown: WidgetArtifact | None,
+    choices: list[Choice],
+    none_types: frozenset[str] | None,
+    kind: str,
+    body: str,
+) -> WidgetArtifact:
+    """The artifact for ``choices``, hashing and keying only the choices
+    past ``grown`` (an artifact whose choice list is a prefix of
+    ``choices``, or ``None`` to start from scratch)."""
+    if grown is None:
+        running, keys, start = base.copy(), [b""], 1
+    else:
+        running = grown.running.copy()
+        keys, start = list(grown.choice_keys), len(grown.choices)
+    for choice in choices[start:]:
+        encoded = _encode_choice(choice, none_types)
+        running.update(encoded)
+        key = base.copy()
+        key.update(encoded)
+        keys.append(key.digest())
+    return WidgetArtifact(
+        tag=tag,
+        choices=choices,
+        none_types=none_types,
+        base=base,
+        running=running,
+        choice_keys=keys,
+        fingerprint=running.hexdigest()[:16],
+        kind=kind,
+        body=body,
+    )
 
 
 @dataclass
@@ -145,6 +235,7 @@ class CompileStats:
     """Work counters across a compiler's lifetime (monotonic)."""
 
     widgets_rendered: int = 0
+    widgets_extended: int = 0
     widgets_reused: int = 0
     combos_rendered: int = 0
     combos_replayed: int = 0
@@ -155,6 +246,7 @@ class CompileStats:
     def to_dict(self) -> dict[str, int]:
         return {
             "widgets_rendered": self.widgets_rendered,
+            "widgets_extended": self.widgets_extended,
             "widgets_reused": self.widgets_reused,
             "combos_rendered": self.combos_rendered,
             "combos_replayed": self.combos_replayed,
@@ -266,7 +358,8 @@ def make_patch(before: CompiledPage | None, after: CompiledPage) -> dict[str, An
     closure_set = {
         key: entry
         for key, entry in after.closure.items()
-        if before.closure.get(key) != entry
+        # replayed slices are the very same dicts: skip comparing them
+        if (old := before.closure.get(key)) is not entry and old != entry
     }
     closure_del = [key for key in before.closure if key not in after.closure]
     return {
@@ -340,10 +433,10 @@ class IncrementalCompiler:
     Usage::
 
         compiler = IncrementalCompiler()
-        page = compiler.compile(session.interface, index=session.index)
+        page = compiler.compile(session.interface)
         page.html()                     # == compile_html(session.interface)
         session.append_sql(more)
-        patch = compiler.compile_patch(session.interface, index=session.index)
+        patch = compiler.compile_patch(session.interface)
     """
 
     def __init__(
@@ -358,8 +451,11 @@ class IncrementalCompiler:
         self.limit = limit
         self.columns = columns
         self.stats = CompileStats()
-        self._artifacts: dict[str, WidgetArtifact] = {}
-        self._slices: dict[tuple[tuple[str, int], ...], dict[str, str]] = {}
+        self._artifacts: dict[Path, WidgetArtifact] = {}
+        self._slices: dict[tuple[bytes, ...], dict[str, str]] = {}
+        # persisted slices awaiting their widgets' choice keys, keyed by
+        # (widget fingerprint, choice index) pairs — see import_state
+        self._imported: dict[tuple[tuple[str, int], ...], dict[str, str]] = {}
         self._results: dict[str, str] = {}
         self._initial_sql: str | None = None
         self._page: CompiledPage | None = None
@@ -375,12 +471,13 @@ class IncrementalCompiler:
     def import_state(self, state: dict[str, Any]) -> int:
         """Warm the closure-slice cache from a persisted page state.
 
-        Artifact and revision caches are process-local (revisions are
-        only comparable within one :class:`PartitionIndex` lifetime), but
-        selection signatures are content-addressed, so a persisted page's
-        closure entries replay in this process for every combination
-        whose widgets still fingerprint the same.  Returns the number of
-        slices adopted.
+        Artifacts are process-local, but a widget fingerprint determines
+        the widget's choice list and hence its choice keys, so a
+        persisted page's closure entries replay in this process for
+        every combination whose widgets still fingerprint the same.  The
+        entries are held under ``(fingerprint, choice index)`` pairs
+        until the next compile translates them to choice keys.  Returns
+        the number of slices adopted.
         """
         page = CompiledPage.from_state(state)
         if self._initial_sql is None:
@@ -395,15 +492,16 @@ class IncrementalCompiler:
         adopted = 0
         for key, entry in page.closure.items():
             indices = [int(part) for part in key.split("|")]
-            if len(indices) != len(fingerprints):
+            # a negative index would address a choice from the end
+            if len(indices) != len(fingerprints) or min(indices) < 0:
                 continue
             signature = tuple(
                 (fingerprints[pos], idx)
                 for pos, idx in enumerate(indices)
                 if idx != 0
             )
-            if signature not in self._slices:
-                self._slices[signature] = dict(entry)
+            if signature not in self._imported:
+                self._imported[signature] = dict(entry)
                 adopted += 1
         return adopted
 
@@ -413,21 +511,16 @@ class IncrementalCompiler:
     def compile(
         self,
         interface: Interface,
-        index: PartitionIndex | None = None,
         closure_cache: ClosureCache | None = None,
     ) -> CompiledPage:
-        """Compile ``interface``, reusing every artifact the dirtiness
-        signal proves clean.
+        """Compile ``interface``, reusing every artifact and closure slice
+        whose rendered inputs are unchanged.
 
         Args:
             interface: the interface (or result) to compile.
-            index: the session's partition index; per-path revisions
-                gate artifact reuse.  Without one, reuse falls back to
-                widget object identity (still exact — the merge memo
-                returns identical objects for clean components).
-            closure_cache: the session's closure cache; consulted before
-                executing a combination and warmed with the rendered
-                combinations' cover proofs.
+            closure_cache: the session's closure cache; with a database,
+                consulted before executing a combination and warmed with
+                the rendered combinations' cover proofs.
 
         Raises:
             CompileError: when the interface has no widgets.
@@ -443,27 +536,28 @@ class IncrementalCompiler:
             # a different q0 invalidates every cached combination (they
             # were composed against the old initial query)
             self._slices.clear()
+            self._imported.clear()
             self._initial_sql = initial_sql
 
-        artifacts = [self._artifact_for(widget, index) for widget in ordered]
+        artifacts = [self._artifact_for(widget) for widget in ordered]
+        labels = [cell.label for cell in plan.cells]
 
-        fingerprint = self._page_fingerprint(initial_sql, artifacts)
+        fingerprint = self._page_fingerprint(initial_sql, artifacts, labels)
         if self._page is not None and self._page.fingerprint == fingerprint:
             self.stats.pages_reused += 1
             return self._page
 
+        if self._imported:
+            self._adopt_imported(artifacts)
         closure = self._closure(interface, ordered, artifacts, closure_cache)
 
         widget_ids = [f"w{i}" for i in range(len(ordered))]
-        blocks: dict[str, str] = {}
-        for widget_id, cell, artifact in zip(widget_ids, plan.cells, artifacts):
-            blocks[widget_id] = render_widget_block(
-                widget_id,
-                cell.label,
-                artifact.widget.widget_type.name,
-                artifact.kind,
-                artifact.body,
+        blocks = {
+            widget_id: render_widget_block(
+                widget_id, label, artifact.tag, artifact.kind, artifact.body
             )
+            for widget_id, label, artifact in zip(widget_ids, labels, artifacts)
+        }
         self._page = CompiledPage(
             fingerprint=fingerprint,
             title=self.title,
@@ -479,89 +573,72 @@ class IncrementalCompiler:
     def compile_patch(
         self,
         interface: Interface,
-        index: PartitionIndex | None = None,
         closure_cache: ClosureCache | None = None,
     ) -> dict[str, Any]:
         """Compile and return the structural patch against the previous
         page (a full ``kind="page"`` patch on the first compile; an empty
         delta when nothing changed)."""
         before = self._page
-        after = self.compile(interface, index=index, closure_cache=closure_cache)
+        after = self.compile(interface, closure_cache=closure_cache)
         return make_patch(before, after)
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    @staticmethod
-    def _identity(
-        widget: Widget,
-    ) -> tuple[str, tuple[tuple[int, int, str, str], ...]]:
-        """The widget's cheap content identity: picked type plus the
-        coordinates of every diff its domain was merged from.
+    def _artifact_for(self, widget: Widget) -> WidgetArtifact:
+        """The widget's artifact: reused, extended, or rendered afresh.
 
-        The domain (entries *and* their order) is a deterministic
-        function of the picked type and the diff sequence ``D`` —
-        Initialize and Merge build it from exactly those records, which
-        are immutable once mined.  Comparing coordinates is O(|D|) tuple
-        work, no label rendering.
+        Reuse proof: same picked type, same ``node_types`` (when ``None``
+        is a choice), and the cached choices equal the new ones
+        element-wise — list equality compares each pair by identity,
+        then ``Node.equals``.  Those are all the inputs of the control
+        body and of every closure slice this widget takes part in.  When
+        the cached list is a proper prefix of the new one, only the new
+        options render and only the new choices are hashed.
         """
-        return (
-            widget.widget_type.name,
-            tuple(
-                (d.q1, d.q2, str(d.path), str(d.source_path)) for d in widget.D
-            ),
-        )
-
-    def _artifact_for(
-        self, widget: Widget, index: PartitionIndex | None
-    ) -> WidgetArtifact:
-        """The widget's artifact, reused when provably clean.
-
-        Reuse proof, either of: the cached widget *is* this widget
-        (identity — the merge memo's clean-component guarantee), or the
-        widget's content identity — picked type + diff-list coordinates,
-        which determine the domain — is unchanged.  The per-path
-        partition revision alone is deliberately *not* trusted: merging
-        can move a diff out of a partition without updating the losing
-        partition's revision, so an unmoved revision does not prove the
-        widget's merged diff list (and hence its domain) unchanged.  The
-        revision is still recorded per artifact for diagnostics.
-        """
-        key = str(widget.path)
-        revision = index.rev.get(widget.path, 0) if index is not None else None
-        cached = self._artifacts.get(key)
-        # object identity first: the merge memo returns the same object
-        # for clean components, and the identity tuple of an identical
-        # object cannot differ — skip the O(|D|) coordinate walk
-        if cached is not None and (
-            cached.widget is widget or cached.identity == self._identity(widget)
-        ):
-            self.stats.widgets_reused += 1
-            cached.widget = widget
-            if revision is not None:
-                cached.revision = revision
-            return cached
-        identity = self._identity(widget)
         choices = build_choice_list(widget)
+        tag = widget.widget_type.name
+        none_types = _none_types(widget, choices)
+        cached = self._artifacts.get(widget.path)
+        if (
+            cached is not None
+            and cached.tag == tag
+            and (cached.none_types is None or cached.none_types == none_types)
+        ):
+            n_cached = len(cached.choices)
+            if n_cached == len(choices) and cached.choices == choices:
+                self.stats.widgets_reused += 1
+                return cached
+            if (
+                n_cached < len(choices)
+                and cached.kind == "select"
+                and _checkbox_on_index(widget, choices) is None
+                and cached.choices == choices[:n_cached]
+            ):
+                body = cached.body + render_options(choices, n_cached)
+                artifact = _artifact(
+                    tag, cached.base, cached, choices, none_types, "select", body
+                )
+                self._artifacts[widget.path] = artifact
+                self.stats.widgets_extended += 1
+                return artifact
         kind, body = render_control_body(widget, choices)
-        artifact = WidgetArtifact(
-            fingerprint=widget_fingerprint(widget),
-            identity=identity,
-            revision=revision,
-            widget=widget,
-            choices=choices,
-            kind=kind,
-            body=body,
+        artifact = _artifact(
+            tag, _key_base(widget), None, choices, none_types, kind, body
         )
-        self._artifacts[key] = artifact
+        self._artifacts[widget.path] = artifact
         self.stats.widgets_rendered += 1
         return artifact
 
     def _page_fingerprint(
-        self, initial_sql: str, artifacts: list[WidgetArtifact]
+        self,
+        initial_sql: str,
+        artifacts: list[WidgetArtifact],
+        labels: list[str],
     ) -> str:
-        """Content hash of the whole page: widget-set fingerprints in
-        grid order plus everything else the output depends on."""
+        """Content hash of the whole page: widget fingerprints and cell
+        labels in grid order plus everything else the output depends
+        on."""
         digest = hashlib.sha256()
         digest.update(self.title.encode("utf-8"))
         digest.update(b"\x00")
@@ -570,10 +647,28 @@ class IncrementalCompiler:
         digest.update(b"db" if self.database is not None else b"nodb")
         digest.update(b"\x00")
         digest.update(initial_sql.encode("utf-8"))
-        for artifact in artifacts:
+        for artifact, label in zip(artifacts, labels):
+            encoded = label.encode("utf-8")
             digest.update(b"\x1f")
             digest.update(artifact.fingerprint.encode("utf-8"))
+            digest.update(f"{len(encoded)}:".encode("utf-8"))
+            digest.update(encoded)
         return digest.hexdigest()[:16]
+
+    def _adopt_imported(self, artifacts: list[WidgetArtifact]) -> None:
+        """Translate persisted slices to choice-key signatures for the
+        widgets on this page (an equal fingerprint means an equal choice
+        list, hence equal choice keys); the rest are dropped."""
+        keys_by_fingerprint = {a.fingerprint: a.choice_keys for a in artifacts}
+        for signature, entry in self._imported.items():
+            try:
+                keys = tuple(
+                    keys_by_fingerprint[fp][idx] for fp, idx in signature
+                )
+            except (KeyError, IndexError):
+                continue
+            self._slices.setdefault(keys, entry)
+        self._imported.clear()
 
     def _closure(
         self,
@@ -583,54 +678,61 @@ class IncrementalCompiler:
         closure_cache: ClosureCache | None,
     ) -> dict[str, dict[str, str]]:
         """Enumerate the closure in ``compile_html`` order, replaying
-        cached slices and re-rendering only dirty combinations.
+        cached slices and re-rendering only combinations with a new
+        choice.  Afterwards the slice cache holds exactly this page's
+        slices.
 
         ``product`` varies the rightmost position fastest, so within the
         first ``limit`` combinations only a short suffix of positions
         ever leaves index 0.  Enumerating just that suffix (the prefix is
-        a constant run of zeros) makes the per-combination key and
-        signature work O(suffix), not O(n_widgets) — on a wide page the
-        steady-state compile is dominated by exactly this loop.
+        a constant run of zeros), with the innermost position unrolled,
+        makes the per-combination key and signature work O(1), not
+        O(n_widgets) — on a wide page the steady-state compile is
+        dominated by exactly this loop.
         """
         choice_lists = [artifact.choices for artifact in artifacts]
-        fingerprints = [artifact.fingerprint for artifact in artifacts]
         proven = proof_trees = None
-        if closure_cache is not None:
+        if closure_cache is not None and self.database is not None:
             proven = closure_cache.proven_for(ordered)
             proof_trees = closure_cache.proof_trees_for(ordered)
         closure: dict[str, dict[str, str]] = {}
         lengths = [len(choices) for choices in choice_lists]
-        if not all(lengths):
-            return closure  # an empty choice list empties the product
         split, cap = len(lengths), 1
         while split > 0 and (cap < self.limit or split == len(lengths)):
             split -= 1
             cap *= lengths[split]
-        zero_prefix = (0,) * split
-        key_prefix = "0|" * split
-        for tail in product(*(range(n) for n in lengths[split:])):
+        *outer_lengths, n_last = lengths[split:]
+        *outer_keys, last_keys = [a.choice_keys for a in artifacts[split:]]
+        slices: dict[tuple[bytes, ...], dict[str, str]] = {}
+        for outer in product(*(range(n) for n in outer_lengths)):
+            # the rightmost position varies fastest: the signature and key
+            # of everything left of it are built once per run of it
+            outer_signature = tuple(
+                keys[idx] for keys, idx in zip(outer_keys, outer) if idx
+            )
+            outer_key = "0|" * split + "".join(f"{idx}|" for idx in outer)
+            for last in range(min(n_last, self.limit - len(closure))):
+                signature = (
+                    outer_signature + (last_keys[last],) if last else outer_signature
+                )
+                entry = self._slices.get(signature)
+                if entry is None:
+                    entry = self._render_combo(
+                        interface,
+                        ordered,
+                        choice_lists,
+                        (0,) * split + outer + (last,),
+                        proven,
+                        proof_trees,
+                    )
+                    self.stats.combos_rendered += 1
+                else:
+                    self.stats.combos_replayed += 1
+                slices[signature] = entry
+                closure[outer_key + str(last)] = entry
             if len(closure) >= self.limit:
                 break
-            signature = tuple(
-                (fingerprints[split + pos], idx)
-                for pos, idx in enumerate(tail)
-                if idx != 0
-            )
-            entry = self._slices.get(signature)
-            if entry is None:
-                entry = self._render_combo(
-                    interface,
-                    ordered,
-                    choice_lists,
-                    zero_prefix + tail,
-                    proven,
-                    proof_trees,
-                )
-                self._slices[signature] = entry
-                self.stats.combos_rendered += 1
-            else:
-                self.stats.combos_replayed += 1
-            closure[key_prefix + "|".join(map(str, tail))] = entry
+        self._slices = slices
         return closure
 
     def _render_combo(

@@ -300,6 +300,13 @@ def _cover_uncached(
     return not pending
 
 
+#: Node types whose children are operands, not a collection: deleting one
+#: leaves a node the renderer cannot print.
+_FIXED_ARITY = frozenset(
+    {"BiExpr", "BetweenExpr", "NotExpr", "UnaryExpr", "IsNullExpr", "InExpr"}
+)
+
+
 def apply_widget_choice(query: Node, widget: Widget, entry: Node | None) -> Node:
     """Apply one widget state to a query AST.
 
@@ -317,8 +324,10 @@ def apply_widget_choice(query: Node, widget: Widget, entry: Node | None) -> Node
         if widget.domain.node_types and node.node_type not in widget.domain.node_types:
             return query
         # never empty a collection: deleting the only projection / group-by
-        # column / conjunct would leave an unrenderable clause
-        if len(query.get(path.parent()).children) <= 1:
+        # column / conjunct would leave an unrenderable clause; nor drop an
+        # operand of a fixed-arity node (``a = b`` minus one side)
+        parent = query.get(path.parent())
+        if len(parent.children) <= 1 or parent.node_type in _FIXED_ARITY:
             return query
         return query.delete_at(path)
     if path.is_root():

@@ -6,6 +6,7 @@ every append, folding the session's patch stream must render exactly the
 page a full ``compile_html`` would produce, on every bundled log family.
 """
 
+from dataclasses import replace
 from pathlib import Path as FilePath
 
 import pytest
@@ -14,6 +15,7 @@ from tests.core.test_merge_incremental import ALL_FAMILIES, _family_log
 from tests.helpers import generate_iface
 from repro.api import InterfaceSession
 from repro.compiler import Database, Table, compile_html
+from repro.compiler.html import _option_label
 from repro.compiler.incremental import (
     PATCH_VERSION,
     CompiledPage,
@@ -24,7 +26,10 @@ from repro.compiler.incremental import (
     widget_fingerprint,
 )
 from repro.errors import CompileError, LogError
-from repro.logs import LISTING_6
+from repro.logs import LISTING_6, SDSSLogGenerator
+from repro.paths import Path
+from repro.sqlparser import Node
+from repro.widgets import DROPDOWN, Widget, WidgetDomain
 
 GOLDEN = FilePath(__file__).parent / "golden_listing6.html"
 
@@ -156,6 +161,46 @@ class TestWidgetArtifacts:
         # deterministic across calls (no process salt)
         assert fps == [widget_fingerprint(w) for w in widgets]
 
+    def test_fingerprint_ignores_the_diff_list(self, interface):
+        """The fingerprint covers what the page renders, not the diffs a
+        widget was merged from."""
+        widget = interface.widgets[0]
+        assert widget.D
+        trimmed = replace(widget, D=[])
+        assert widget_fingerprint(trimmed) == widget_fingerprint(widget)
+
+    def test_equal_labels_on_different_subtrees_get_different_keys(self):
+        """Slice keys encode the choice subtree, not its option label:
+        NumExpr(1) and NumExpr('1') both render as ``1``."""
+        number = Node("NumExpr", {"value": 1})
+        text = Node("NumExpr", {"value": "1"})
+        assert _option_label(number) == _option_label(text)
+        widget = Widget(DROPDOWN, Path.parse("0"), WidgetDomain([number, text]))
+        artifact = IncrementalCompiler()._artifact_for(widget)
+        assert artifact.choices[1:] == [number, text]
+        assert len(set(artifact.choice_keys[1:])) == 2
+
+    def test_integral_float_keys_like_the_equal_int(self):
+        """``NumExpr(10.0)`` equals and renders as ``NumExpr(10)`` (a
+        store round trip can swap them), so both get the same keys."""
+        as_int, as_float = (
+            Widget(
+                DROPDOWN,
+                Path.parse("0"),
+                WidgetDomain([Node("NumExpr", {"value": v}), Node("NumExpr", {"value": 2})]),
+            )
+            for v in (10, 10.0)
+        )
+        assert widget_fingerprint(as_int) == widget_fingerprint(as_float)
+
+    def test_label_edit_recompiles_the_page(self, interface):
+        compiler = IncrementalCompiler(limit=64)
+        compiler.compile(interface)
+        interface.widgets[0].label = "Renamed control"
+        page = compiler.compile(interface)
+        assert "Renamed control" in page.html()
+        assert page.html() == compile_html(interface, limit=64)
+
 
 # ----------------------------------------------------------------------
 # closure slices and execution, with and without a database
@@ -184,13 +229,64 @@ class TestClosureSlices:
         session.append(asts[:14])
         session.compile(database=db, limit=150)
         compiler = session._compiler
+        # the hot appends vary only the x slider beyond its five sampled
+        # values: no choice changes, so the page is reused, unexecuted
         session.append(asts[14:24])
         executions_before = compiler.stats.executions
+        pages_before = compiler.stats.pages_reused
         session.compile(database=db, limit=150)
-        assert compiler.stats.combos_replayed > 0
+        assert compiler.stats.pages_reused == pages_before + 1
+        assert compiler.stats.executions == executions_before
+        # a new z literal adds a domain entry: only combinations
+        # selecting it render, the rest replay their slices
+        result = session.append_sql(
+            ["SELECT a, b FROM t WHERE x = 0 AND z = 7"]
+        )
+        executions_before = compiler.stats.executions
+        rendered_before = compiler.stats.combos_rendered
+        replayed_before = compiler.stats.combos_replayed
+        page = session.compile(database=db, limit=150)
+        assert page == compile_html(result.interface, database=db, limit=150)
+        assert compiler.stats.combos_replayed > replayed_before
         # replayed combinations did not hit the database again
         n_executed = compiler.stats.executions - executions_before
+        assert n_executed <= compiler.stats.combos_rendered - rendered_before
         assert n_executed < compiler.stats.combos_rendered
+
+    def test_appends_outside_the_limit_render_no_combination(self):
+        """Steady-state SDSS appends grow a textbox's choice list at its
+        end, past the first ``limit`` combinations: the artifact extends
+        (new options only), every slice replays, none re-renders, and
+        the page stays exact."""
+        sql = [e.sql for e in SDSSLogGenerator(5).client_log(n=740).entries]
+        session = InterfaceSession()
+        session.append_sql(sql[:700])
+        state = apply_patch(None, session.compile_patch(limit=512))
+        compiler = session._compiler
+        for start in range(700, 740, 4):
+            result = session.append_sql(sql[start : start + 4])
+            rendered = compiler.stats.combos_rendered
+            widgets = compiler.stats.widgets_rendered
+            patch = session.compile_patch(limit=512)
+            state = apply_patch(state, patch)
+            assert page_html(state) == compile_html(result.interface, limit=512)
+            # the precondition: choices only grew at the end, beyond the
+            # combinations the page pre-evaluates
+            assert compiler.stats.widgets_rendered == widgets
+            assert max(len(a.choices) for a in compiler._artifacts.values()) > 512
+            assert compiler.stats.combos_rendered == rendered
+            assert patch["closure_set"] == {}
+        assert compiler.stats.widgets_extended > 0
+
+    def test_slice_cache_holds_only_the_page(self):
+        asts = _family_log("olap")
+        session = InterfaceSession()
+        for start in range(0, len(asts), 4):
+            session.append(asts[start : start + 4])
+            session.compile_patch(limit=64)
+            compiler = session._compiler
+            assert len(compiler._slices) <= 64
+            assert len(compiler._slices) == len(compiler.page.closure)
 
     def test_database_switch_recreates_the_compiler(self):
         session = InterfaceSession()
@@ -264,6 +360,15 @@ class TestImportState:
         assert page.html() == page_html(state)
         assert fresh.stats.combos_replayed == adopted
         assert fresh.stats.combos_rendered == 0
+
+    def test_negative_choice_index_is_not_adopted(self, interface):
+        state = IncrementalCompiler(limit=64).compile(interface).to_state()
+        n_widgets = len(state["widget_ids"])
+        forged = "|".join(["0"] * (n_widgets - 1) + ["-1"])
+        state["closure"] = {forged: {"sql": "forged"}}
+        fresh = IncrementalCompiler(limit=64)
+        assert fresh.import_state(state) == 0
+        assert fresh.compile(interface).html() == compile_html(interface, limit=64)
 
     def test_foreign_initial_sql_adopts_nothing(self, interface):
         donor = IncrementalCompiler(limit=64)

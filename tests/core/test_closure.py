@@ -1,10 +1,15 @@
 """Closure membership and enumeration tests."""
 
+import pytest
+
 from tests.helpers import generate_iface
 from repro import parse_sql
 from repro.core.closure import apply_widget_choice, enumerate_closure
 from repro.logs import LISTING_6, LISTING_7
+from repro.paths import Path
+from repro.sqlparser import Node
 from repro.sqlparser.render import render_sql
+from repro.widgets import TOGGLE_BUTTON, Widget, WidgetDomain
 
 
 
@@ -105,3 +110,17 @@ class TestApplyWidgetChoice:
         toggle = next(w for w in interface.widgets if w.domain.includes_none)
         without_top = parse_sql(LISTING_6[0])
         assert apply_widget_choice(without_top, toggle, None) is without_top
+
+    @pytest.mark.parametrize(
+        "path", ["2/0/0/1", "2/0/1/1"], ids=["bi-expr", "between-expr"]
+    )
+    def test_delete_keeps_fixed_arity_operands(self, path):
+        """``None`` never drops one side of ``x = 1`` or a BETWEEN bound:
+        the result would not render."""
+        query = parse_sql("SELECT a FROM t WHERE x = 1 AND y BETWEEN 1 AND 3")
+        widget = Widget(
+            TOGGLE_BUTTON,
+            Path.parse(path),
+            WidgetDomain([None, Node("NumExpr", {"value": 2})]),
+        )
+        assert apply_widget_choice(query, widget, None) is query

@@ -14,8 +14,13 @@ only the merge components incident to the new pairs re-merge, the rest
 replay their memoised result — and window-scoped inside dirty
 components: clean sibling subtrees replay memoised merge steps, so a
 skewed append pays for its dirty subtree window, not the enclosing
-component.  Steady-state append cost is therefore O(dirty subtree), not
-O(accumulated log).
+component.  Widget domains are delta-maintained: a touched partition
+that only grew at its tail (every append at the default window) extends
+its domain by the new diffs' entries, and so does a merge step's rebuild
+of a grown widget, so ``pickWidget`` costs O(new diffs).  What still
+reads a dirty widget's whole diff list is a C-speed identity-prefix
+check, a list copy, and the merge step's overlap scan (Python-level,
+O(``|D|``) per re-run step) — the append is not yet O(batch) end to end.
 
 The session is result-equivalent to batch generation: after any sequence
 of appends, the widget set matches a one-shot :func:`repro.api.generate`

@@ -567,7 +567,8 @@ def widgets_from_dict(
 
     Raises:
         CacheError: on a version mismatch, an out-of-range diff reference,
-            or when re-picking yields a different widget type than the one
+            a record whose diffs lie at more than one path, or when
+            re-picking yields a different widget type than the one
             recorded (a stale payload for the current library).
     """
     from repro.core.mapper import pick_widget
@@ -582,11 +583,19 @@ def widgets_from_dict(
     widgets: list[Widget] = []
     for record in payload.get("widgets", ()):
         try:
-            refs = record["diffs"]
+            refs = list(record["diffs"])
             expected = record["type"]
         except (KeyError, TypeError) as exc:
             raise CacheError(f"malformed widget record: {record!r}") from exc
         diffs = [_at(graph.diffs, index, "diff") for index in refs]
+        # pickWidget trusts its input to be one path's diffs; a corrupt
+        # or foreign record must not become a widget spanning two paths
+        stray = next((d for d in diffs if d.path != diffs[0].path), None)
+        if stray is not None:
+            raise CacheError(
+                "widget record references diffs at more than one path "
+                f"({diffs[0].path} and {stray.path})"
+            )
         try:
             widget = pick_widget(diffs, library, annotations)
         except MappingError as exc:

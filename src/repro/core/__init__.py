@@ -17,7 +17,6 @@ from repro.core.mapper import (
     MapperStats,
     PartitionIndex,
     initialize,
-    initialize_incremental,
     initialize_indexed,
     map_interactions,
     merge_widgets,
@@ -34,7 +33,6 @@ __all__ = [
     "PartitionIndex",
     "pick_widget",
     "initialize",
-    "initialize_incremental",
     "initialize_indexed",
     "merge_widgets",
     "merge_widgets_incremental",

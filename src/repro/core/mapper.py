@@ -25,16 +25,32 @@ their memoised result.  The decomposition is lossless: a merge step only
 ever pairs an ancestor with its prefix-descendants, so no candidate merge
 crosses a component boundary and the union of per-component fixed points
 equals the global fixed point (asserted by the parity suite).
+
+``pickWidget`` is delta-maintained on that path.  The diffs table is
+append-only, so a partition whose memoised diff list is an identity
+prefix of its current one has ``domain(D ∪ ΔD) = domain(D) ∪
+entries(ΔD)``: :func:`initialize_indexed` extends the memoised domain by
+the new diffs' entries (:meth:`~repro.widgets.domain.WidgetDomain.extended`)
+and re-evaluates the library rules on the domain's summary, and a merge
+step's rebuild of a grown widget minus the same removed diffs extends the
+recorded rebuild the same way.  Partitions that received an insert
+inside (wider mining windows) are rebuilt in full.  The domain work of a
+steady-state append is therefore O(new diffs); the identity-prefix
+checks and list copies still read whole diff lists at C speed, and the
+merge step's overlap scan still reads every diff of the widgets a dirty
+step compares, so the append as a whole is not yet O(batch).
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from repro.errors import MappingError
 from repro.paths import Path
+from repro.sqlparser.astnodes import Node
 from repro.sqlparser.grammar import SQL_ANNOTATIONS, GrammarAnnotations
 from repro.treediff.diff import Diff
 from repro.treediff.paths import IntervalIndex
@@ -49,7 +65,6 @@ __all__ = [
     "WindowMemo",
     "pick_widget",
     "initialize",
-    "initialize_incremental",
     "initialize_indexed",
     "merge_widgets",
     "merge_widgets_incremental",
@@ -248,10 +263,65 @@ class WindowMemo:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def clear(self) -> None:
-        """Drop every step outcome and token pin."""
-        self.steps.clear()
-        self._tokens.clear()
+    def prune(self, live: dict[int, Widget]) -> None:
+        """Drop every step a later merge can no longer replay.
+
+        A step stays replayable while its window revision is current and
+        every widget in its key is live.  ``live`` maps ``id(widget)`` to
+        the widgets the owner still holds; the outcome widgets of a kept
+        step join it (a replayed step hands them to the next step), so
+        the set grows to a fixed point.  Tokens of widgets left outside
+        it are released, unpinning superseded widgets.
+        """
+        widget_of = {token: widget for widget, token in self._tokens.values()}
+        pending = {
+            key: outcome
+            for key, outcome in self.steps.items()
+            if key[2] == self.index.window_revision(widget_of[key[0]].path)
+        }
+        kept: dict[tuple, tuple[Widget | None, list[Widget | None], float] | None] = {}
+        grew = True
+        while grew:
+            grew = False
+            for key, outcome in list(pending.items()):
+                tokens = (key[0], *key[1])
+                if not all(id(widget_of[t]) in live for t in tokens):
+                    continue
+                del pending[key]
+                kept[key] = outcome
+                if outcome is not None:
+                    for widget in (outcome[0], *outcome[1]):
+                        if widget is not None and id(widget) not in live:
+                            live[id(widget)] = widget
+                            grew = True
+        self.steps = kept
+        self._tokens = {
+            key: entry for key, entry in self._tokens.items() if key in live
+        }
+
+
+@dataclass(frozen=True)
+class _Picked:
+    """One ``pickWidget`` outcome: the partition (or partition subset) it
+    was picked for, that diff list's domain, and the widget (``None`` when
+    no widget type accepts the domain).  Kept so a longer diff list with
+    ``D`` as its prefix can extend ``domain`` instead of rebuilding it."""
+
+    D: list[Diff]
+    domain: WidgetDomain
+    widget: Widget | None
+
+
+@dataclass(frozen=True)
+class _Rebuild:
+    """A merge step's rebuild of a widget minus the ``removed`` diffs:
+    ``source`` is the widget's diff list, ``picked`` the outcome over the
+    kept diffs.  ``removed`` rides along so its diffs stay alive while the
+    memo is keyed by their ids."""
+
+    source: list[Diff]
+    removed: tuple[Diff, ...]
+    picked: _Picked
 
 
 @dataclass
@@ -262,9 +332,10 @@ class MapCache:
     Attributes:
         index: the partition index over the owning graph's diffs table,
             including the interval annotations of every partition path.
-        paths: per-path widget memo for Initialize —
-            ``path -> (revision, widget)``; valid while the partition is
-            still at that revision.
+        paths: per-path pick memo for Initialize —
+            ``path -> (revision, picked)``; valid while the partition is
+            still at that revision, and extended (not rebuilt) when the
+            partition only grew at its tail.
         merge: per-component merge memo for the partition-scoped fixed
             point — ``component root path -> (signature, merged widgets)``
             where the signature is the monotone window revision of the
@@ -273,15 +344,14 @@ class MapCache:
     """
 
     index: PartitionIndex = field(default_factory=PartitionIndex)
-    paths: dict[Path, tuple[int, Widget | None]] = field(default_factory=dict)
+    paths: dict[Path, tuple[int, _Picked]] = field(default_factory=dict)
     merge: dict[Path, tuple[int, list[Widget]]] = field(default_factory=dict)
-    #: pickWidget memo shared by the merge fixed points —
-    #: ``(path, diff-identity tuple) -> widget``; sound because diff
-    #: objects live exactly as long as the owning graph.  Bounded by
-    #: :data:`_PICK_MEMO_CAP` (cleared wholesale when exceeded).
-    pick: dict[tuple, Widget | None] = field(default_factory=dict)
+    #: merge-step rebuild memo shared by the merge fixed points —
+    #: ``(path, removed diff ids) -> rebuild``; a later rebuild of a
+    #: grown widget minus the same diffs extends the recorded domain
+    rebuilds: dict[tuple, _Rebuild] = field(default_factory=dict)
     #: per-ancestor merge-step memo for dirty components; lazily bound to
-    #: :attr:`index` by :meth:`window_memo`.  Bounded like :attr:`pick`.
+    #: :attr:`index` by :meth:`window_memo`
     windows: WindowMemo | None = None
 
     def window_memo(self) -> WindowMemo:
@@ -291,13 +361,37 @@ class MapCache:
             self.windows = WindowMemo(self.index)
         return self.windows
 
+    def prune(self) -> None:
+        """Release merge memo entries that no live widget reaches.
+
+        Live widgets are the Initialize picks, the memoised component
+        results, and the outcomes of replayable window steps.  A rebuild
+        entry stays while its source or its result is live: the next
+        append extends exactly those.
+        """
+        live: dict[int, Widget] = {}
+        for _, picked in self.paths.values():
+            if picked.widget is not None:
+                live[id(picked.widget)] = picked.widget
+        for _, widgets in self.merge.values():
+            live.update((id(w), w) for w in widgets)
+        if self.windows is not None:
+            self.windows.prune(live)
+        sources = {id(widget.D) for widget in live.values()}
+        self.rebuilds = {
+            key: rebuild
+            for key, rebuild in self.rebuilds.items()
+            if id(rebuild.source) in sources
+            or id(rebuild.picked.widget) in live
+        }
+
     def clear(self) -> None:
         """Drop the index and all memos (forces a full re-index and
         re-map on the next run)."""
         self.index = PartitionIndex()
         self.paths.clear()
         self.merge.clear()
-        self.pick.clear()
+        self.rebuilds.clear()
         self.windows = None
 
 
@@ -309,7 +403,9 @@ def pick_widget(
     """Algorithm 2: instantiate the lowest-cost widget type for a partition.
 
     Args:
-        diffs: diff records sharing one path (the partition ``W_p``).
+        diffs: diff records sharing one path (the partition ``W_p``, or a
+            subset of it); the shared path is the caller's guarantee and
+            is not re-checked.
         library: candidate widget types ``L``.
         annotations: grammar annotations for typing the domain.
 
@@ -321,20 +417,52 @@ def pick_widget(
     """
     if not diffs:
         return None
-    path = diffs[0].path
-    entries = []
-    for diff in diffs:
-        entries.append(diff.t1)
-        entries.append(diff.t2)
-    domain = WidgetDomain(entries, annotations)
+    picked = _pick(list(diffs), library, annotations)
+    if picked.widget is None:
+        raise MappingError(
+            f"no widget type in the library accepts the domain at path "
+            f"{diffs[0].path} (size={picked.domain.size}, "
+            f"none={picked.domain.includes_none})"
+        )
+    return picked.widget
+
+
+def _entries(diffs: list[Diff]) -> list[Node | None]:
+    """The domain entries of a diff list: ``t1, t2`` per diff, in order."""
+    return [tree for diff in diffs for tree in (diff.t1, diff.t2)]
+
+
+def _is_prefix(prefix: list[Diff], diffs: list[Diff]) -> bool:
+    """Is ``prefix`` an identity prefix of ``diffs``?  (C-speed scan.)"""
+    return len(prefix) <= len(diffs) and all(map(operator.is_, prefix, diffs))
+
+
+def _pick(
+    D: list[Diff],
+    library: list[WidgetType],
+    annotations: GrammarAnnotations,
+    base: _Picked | None = None,
+) -> _Picked:
+    """``pickWidget`` over the non-empty one-path diff list ``D``.
+
+    ``base``, when given, must be an earlier outcome whose ``D`` is a
+    proven prefix of ``D``: its domain is then extended by the new tail's
+    entries — O(new diffs) instead of O(``|D|``) — and equals the domain a
+    fresh build would make, entry order included.
+    """
+    if base is None:
+        domain = WidgetDomain(_entries(D), annotations)
+    elif len(base.D) == len(D):
+        return base
+    else:
+        domain = base.domain.extended(_entries(D[len(base.D) :]))
     valid = [wt for wt in library if wt.accepts(domain)]
     if not valid:
-        raise MappingError(
-            f"no widget type in the library accepts the domain at path {path} "
-            f"(size={domain.size}, none={domain.includes_none})"
-        )
+        return _Picked(D, domain, None)
     best = min(valid, key=lambda wt: (wt.cost_for(domain), wt.name))
-    return Widget(widget_type=best, path=path, domain=domain, D=list(diffs))
+    # the rule was just evaluated and D is one path's diffs: skip the
+    # validating constructor's re-checks
+    return _Picked(D, domain, Widget.unchecked(best, D[0].path, domain, D))
 
 
 def initialize(
@@ -364,60 +492,6 @@ def initialize(
         if widget is not None:
             widgets.append(widget)
     return widgets
-
-
-def initialize_incremental(
-    diffs: list[Diff],
-    library: list[WidgetType],
-    annotations: GrammarAnnotations,
-    cache: dict[Path, tuple[tuple[int, ...], Widget | None]],
-) -> tuple[list[Widget], int, int]:
-    """Algorithm 1 with partition-level reuse for growing diff tables.
-
-    The diffs table only ever grows (the incremental session appends, never
-    edits), so a path partition whose diff list is unchanged since the last
-    call must produce the same widget — re-solving it is pure waste.
-    ``cache`` maps each path to ``(signature, widget)`` where the signature
-    identifies the exact diff objects (by ``id``) the widget was built
-    from; a diff object's identity is stable because the session's graph
-    holds a reference to it for its whole lifetime.  Partitions whose
-    signature matches reuse the cached widget (including cached
-    ``None`` — a partition no widget type accepts stays skipped without
-    re-running ``pickWidget``); the rest are re-solved and re-cached, and
-    paths that vanished from the table are evicted.
-
-    Long-lived callers get cheaper dirtiness tracking from the
-    index-based twin (:func:`initialize_indexed` over a
-    :class:`PartitionIndex`), which replaces per-partition id-signatures
-    with revision counters.
-
-    Returns ``(widgets, n_reused, n_rebuilt)``.
-    """
-    partitions: dict[Path, list[Diff]] = {}
-    for diff in diffs:
-        partitions.setdefault(diff.path, []).append(diff)
-    widgets: list[Widget] = []
-    n_reused = 0
-    n_rebuilt = 0
-    for path in sorted(partitions):
-        partition = partitions[path]
-        cached = cache.get(path)
-        signature = tuple(id(d) for d in partition)
-        if cached is not None and cached[0] == signature:
-            n_reused += 1
-            widget = cached[1]
-        else:
-            n_rebuilt += 1
-            try:
-                widget = pick_widget(partition, library, annotations)
-            except MappingError:
-                widget = None
-            cache[path] = (signature, widget)
-        if widget is not None:
-            widgets.append(widget)
-    for stale in set(cache) - set(partitions):
-        del cache[stale]
-    return widgets, n_reused, n_rebuilt
 
 
 def _incident_queries(diffs: list[Diff]) -> set[int]:
@@ -458,17 +532,13 @@ def _preorder_view(
     return ordered, pres
 
 
-#: Entry cap for the shared pickWidget memo; exceeded → cleared wholesale.
-_PICK_MEMO_CAP = 65536
-
-
 def _merge_step(
     ancestor: Widget,
     descendants: list[Widget],
     library: list[WidgetType],
     annotations: GrammarAnnotations,
     leaf_by_pair: dict[tuple[int, int], list[Diff]],
-    pick_memo: dict[tuple, Widget | None],
+    rebuilds: dict[tuple, _Rebuild],
     intervals: IntervalIndex | None = None,
 ) -> tuple[Widget | None, list[Widget | None], float] | None:
     """Algorithm 3 for one (ancestor, descendant-set) pair.
@@ -533,17 +603,29 @@ def _merge_step(
     def rebuilt(widget: Widget, removed: list[Diff]) -> Widget | None:
         if not removed:
             return widget
-        removed_ids = {id(d) for d in removed}
-        kept = [d for d in widget.D if id(d) not in removed_ids]
         # memoised: successive rounds (and appends) re-evaluate the same
-        # candidate removals, and pickWidget's domain construction is the
-        # single hottest part of the fixed point
-        key = (widget.path, tuple(id(d) for d in kept))
-        if key in pick_memo:
-            return pick_memo[key]
-        result = pick_widget(kept, library, annotations)
-        pick_memo[key] = result
-        return result
+        # candidate removals; when the widget only grew at its tail since
+        # the recorded rebuild, the kept list and domain extend by the
+        # tail instead of being rebuilt from every diff
+        key = (widget.path, tuple(map(id, removed)))
+        prior = rebuilds.get(key)
+        if prior is not None and prior.source is widget.D:
+            return prior.picked.widget
+        removed_ids = set(map(id, removed))
+        if prior is not None and _is_prefix(prior.source, widget.D):
+            base: _Picked | None = prior.picked
+            tail = widget.D[len(prior.source) :]
+            kept = prior.picked.D + [d for d in tail if id(d) not in removed_ids]
+        else:
+            base = None
+            kept = [d for d in widget.D if id(d) not in removed_ids]
+        picked = (
+            _pick(kept, library, annotations, base)
+            if kept
+            else _Picked(kept, WidgetDomain((), annotations), None)
+        )
+        rebuilds[key] = _Rebuild(widget.D, tuple(removed), picked)
+        return picked.widget
 
     def cost_of(widget: Widget | None) -> float:
         return 0.0 if widget is None else widget.cost
@@ -574,16 +656,16 @@ def merge_widgets(
     annotations: GrammarAnnotations = SQL_ANNOTATIONS,
     stats: MapperStats | None = None,
     leaf_diffs: list[Diff] | None = None,
-    pick_memo: dict[tuple, Widget | None] | None = None,
+    rebuilds: dict[tuple, _Rebuild] | None = None,
     windows: WindowMemo | None = None,
     leaf_by_pair: dict[tuple[int, int], list[Diff]] | None = None,
 ) -> list[Widget]:
     """Iterate Algorithm 3 to a fixed point.
 
     Each round scans ancestor widgets shallow-to-deep; a round that reduces
-    total cost triggers another round.  ``pick_memo`` optionally shares
-    rebuilt-widget lookups across calls (see :class:`MapCache`); by
-    default the memo lives only for this fixed point, which already
+    total cost triggers another round.  ``rebuilds`` optionally shares
+    the merge steps' widget rebuilds across calls (see :class:`MapCache`);
+    by default the memo lives only for this fixed point, which already
     de-duplicates the re-evaluation successive rounds do.
 
     ``windows`` (see :class:`WindowMemo`) additionally memoises whole
@@ -601,8 +683,8 @@ def merge_widgets(
         if leaf_diffs is None:
             leaf_diffs = [d for w in widgets for d in w.D if d.is_leaf]
         leaf_by_pair = _leaf_diffs_by_pair(leaf_diffs)
-    if pick_memo is None:
-        pick_memo = {}
+    if rebuilds is None:
+        rebuilds = {}
     intervals = windows.index.intervals if windows is not None else None
     current = list(widgets)
     rounds = 0
@@ -665,14 +747,14 @@ def merge_widgets(
                     descendants = in_reference_order()
                     result = _merge_step(
                         ancestor, descendants, library, annotations,
-                        leaf_by_pair, pick_memo, intervals,
+                        leaf_by_pair, rebuilds, intervals,
                     )
                     windows.steps[step_key] = result
             else:
                 descendants = in_reference_order()
                 result = _merge_step(
                     ancestor, descendants, library, annotations, leaf_by_pair,
-                    pick_memo, intervals,
+                    rebuilds, intervals,
                 )
             if result is None:
                 continue
@@ -742,11 +824,14 @@ def initialize_indexed(
 ) -> tuple[list[Widget], int, int]:
     """Algorithm 1 over a :class:`PartitionIndex` with revision reuse.
 
-    The index-based twin of :func:`initialize_incremental`: partitions are
-    already grouped and ordered by the index, and a partition is re-solved
-    only when its revision moved past the one its memoised widget was
-    built at — a steady-state append re-runs ``pickWidget`` for exactly
-    the partitions the new pairs touched.
+    Partitions are already grouped and ordered by the index, and a
+    partition is re-solved only when its revision moved past the one its
+    memoised pick was made at — a steady-state append re-runs
+    ``pickWidget`` for exactly the partitions the new pairs touched.  A
+    re-solved partition whose memoised diff list is an identity prefix of
+    its current one (new diffs landed at its tail, as every append of a
+    window-2 session does) extends the memoised domain by the new diffs'
+    entries; one with an insert inside is rebuilt from every diff.
 
     Returns ``(widgets, n_reused, n_rebuilt)``.
     """
@@ -761,16 +846,18 @@ def initialize_indexed(
         cached = cache.paths.get(path)
         if cached is not None and cached[0] == revision:
             n_reused += 1
-            widget = cached[1]
+            picked = cached[1]
         else:
             n_rebuilt += 1
-            try:
-                widget = pick_widget(index.by_path[path], library, annotations)
-            except MappingError:
-                widget = None
-            cache.paths[path] = (revision, widget)
-        if widget is not None:
-            widgets.append(widget)
+            # the index mutates its partition lists in place: snapshot
+            D = list(index.by_path[path])
+            base = cached[1] if cached is not None else None
+            if base is not None and not _is_prefix(base.D, D):
+                base = None
+            picked = _pick(D, library, annotations, base)
+            cache.paths[path] = (revision, picked)
+        if picked.widget is not None:
+            widgets.append(picked.widget)
     return widgets, n_reused, n_rebuilt
 
 
@@ -844,10 +931,6 @@ def merge_widgets_incremental(
             continue
         n_merged += 1
         dirty.append(str(root))
-        if len(cache.pick) > _PICK_MEMO_CAP:
-            cache.pick.clear()
-        if windows is not None and len(windows.steps) > _PICK_MEMO_CAP:
-            windows.clear()
         component_stats = MapperStats()
         # a merge step reads exactly the leaf diffs strictly under its
         # ancestor widget's path, and every ancestor in this component
@@ -860,7 +943,7 @@ def merge_widgets_incremental(
             library,
             annotations,
             stats=component_stats,
-            pick_memo=cache.pick,
+            rebuilds=cache.rebuilds,
             windows=windows,
             leaf_by_pair=index.leaf_by_pair,
         )
@@ -869,6 +952,10 @@ def merge_widgets_incremental(
         max_rounds = max(max_rounds, component_stats.n_merge_rounds)
     for stale in set(memo) - set(components):
         del memo[stale]
+    if n_merged:
+        # a re-merge supersedes widgets; release the memo entries only
+        # they could reach
+        cache.prune()
     # normalise to the global fixed point's (depth, path) output order
     merged.sort(key=lambda w: (w.path.depth, w.path))
     if stats is not None:

@@ -97,6 +97,31 @@ class Widget:
                     f"({diff.path} != {self.path})"
                 )
 
+    @classmethod
+    def unchecked(
+        cls,
+        widget_type: WidgetType,
+        path: Path,
+        domain: WidgetDomain,
+        D: list[Diff],
+    ) -> "Widget":
+        """Build a widget without re-running the checks of ``Widget(...)``.
+
+        For callers that already hold both proofs: ``widget_type`` accepts
+        ``domain`` (its rule was just evaluated to pick it) and every diff
+        in ``D`` lies at ``path`` (``D`` is one path partition, or a subset
+        of one).  The mapper builds widgets this way, skipping an
+        O(``|D|``) path re-check per widget; untrusted input goes through
+        the validating constructor.
+        """
+        widget = cls.__new__(cls)
+        widget.widget_type = widget_type
+        widget.path = path
+        widget.domain = domain
+        widget.D = D
+        widget.label = None
+        return widget
+
     # ------------------------------------------------------------------
     # cost & expressiveness
     # ------------------------------------------------------------------

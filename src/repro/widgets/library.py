@@ -82,21 +82,11 @@ def _rule_slider(domain: WidgetDomain) -> bool:
 def _rule_range_slider(domain: WidgetDomain) -> bool:
     """Numeric low/high selection: all entries are BETWEEN expressions over
     the same attribute with numeric bounds."""
-    subtrees = list(domain.subtrees())
-    if domain.includes_none or len(subtrees) < 2:
-        return False
-    if any(node.node_type != "BetweenExpr" for node in subtrees):
-        return False
-    first_target = subtrees[0].children[0]
-    for node in subtrees:
-        if len(node.children) != 3 or not node.children[0].equals(first_target):
-            return False
-        low, high = node.children[1], node.children[2]
-        if low.node_type not in ("NumExpr", "HexExpr"):
-            return False
-        if high.node_type not in ("NumExpr", "HexExpr"):
-            return False
-    return True
+    return (
+        not domain.includes_none
+        and domain.n_subtrees >= 2
+        and domain.is_range_track
+    )
 
 
 def _rule_checkbox_list(domain: WidgetDomain) -> bool:
@@ -108,17 +98,11 @@ def _rule_checkbox_list(domain: WidgetDomain) -> bool:
 def _rule_drag_and_drop(domain: WidgetDomain) -> bool:
     """Reordering of a collection: all entries are collection nodes of the
     same type containing the same multiset of children."""
-    subtrees = list(domain.subtrees())
-    if domain.includes_none or len(subtrees) < 2:
-        return False
-    first = subtrees[0]
-    reference = sorted(child.fingerprint for child in first.children)
-    for node in subtrees:
-        if node.node_type != first.node_type or len(node.children) < 2:
-            return False
-        if sorted(child.fingerprint for child in node.children) != reference:
-            return False
-    return True
+    return (
+        not domain.includes_none
+        and domain.n_subtrees >= 2
+        and domain.is_reordering
+    )
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Widget-set cache: serialisation round-trips, the store's second table,
 full-hit pipeline wiring, invalidation, and LRU eviction."""
 
+import json
+
 import pytest
 
 from repro.api import generate
@@ -23,6 +25,13 @@ from repro.sqlparser.parser import parse_sql
 SQL = [
     "SELECT a FROM t WHERE x = 1",
     "SELECT a FROM t WHERE x = 2",
+    "SELECT a FROM t WHERE x = 5",
+]
+
+#: diffs 0 and 1 of this log's graph lie at two different paths
+TWO_PATH_SQL = [
+    "SELECT a FROM t WHERE x = 1",
+    "SELECT b FROM t WHERE x = 2",
     "SELECT a FROM t WHERE x = 5",
 ]
 
@@ -83,6 +92,28 @@ class TestSerialisation:
         payload = widgets_to_dict(widgets, graph)
         payload["widgets"][0]["type"] = "definitely-not-a-widget"
         with pytest.raises(CacheError, match="expected type"):
+            widgets_from_dict(payload, graph, options.library, options.annotations)
+
+
+    def test_refs_spanning_two_paths_rejected(self):
+        """A record whose diffs lie at two paths is corrupt or foreign;
+        decoding refuses it with the documented CacheError."""
+        options = PipelineOptions()
+        graph = build_interaction_graph(
+            [parse_sql(s) for s in TWO_PATH_SQL], window=2
+        )
+        assert graph.diffs[0].path != graph.diffs[1].path
+        payload = widgets_to_dict([], graph)
+        payload["widgets"] = [{"type": "dropdown", "diffs": [0, 1]}]
+        with pytest.raises(CacheError, match="more than one path"):
+            widgets_from_dict(payload, graph, options.library, options.annotations)
+
+    @pytest.mark.parametrize("refs", [5, None])
+    def test_non_list_refs_rejected(self, mined, refs):
+        _asts, graph, options, _widgets = mined
+        payload = widgets_to_dict([], graph)
+        payload["widgets"] = [{"type": "dropdown", "diffs": refs}]
+        with pytest.raises(CacheError, match="malformed"):
             widgets_from_dict(payload, graph, options.library, options.annotations)
 
 
@@ -171,6 +202,28 @@ class TestFullHitPipeline:
         # stomp the whole widget-set segment with garbage
         (tmp_path / "widgets.seg").write_bytes(b"\x00garbage" * 64)
         warm = generate(SQL, options=options)
+        assert warm.run.stage("cache").stats["widgets_hit"] is False
+        assert warm.interface.widget_summary() == cold.interface.widget_summary()
+
+
+    def test_record_spanning_two_paths_is_a_miss(self, tmp_path):
+        """Through a packed store: the bad record degrades the warm run
+        to a graph hit instead of crashing it."""
+        options = PipelineOptions(cache_dir=str(tmp_path))
+        cold = generate(TWO_PATH_SQL, options=options)
+        key = cold.run.stage("cache").stats["key"]
+        store = GraphStore(tmp_path)
+        graph = build_interaction_graph(
+            [parse_sql(s) for s in TWO_PATH_SQL], window=2
+        )
+        assert graph.diffs[0].path != graph.diffs[1].path
+        payload = widgets_to_dict([], graph)
+        payload["widgets"] = [{"type": "dropdown", "diffs": [0, 1]}]
+        assert store.record_put(
+            "widget_sets", key, (json.dumps(payload) + "\n").encode()
+        )
+        warm = generate(TWO_PATH_SQL, options=options)
+        assert warm.run.stage("cache").stats["hit"] is True
         assert warm.run.stage("cache").stats["widgets_hit"] is False
         assert warm.interface.widget_summary() == cold.interface.widget_summary()
 

@@ -27,6 +27,7 @@ from repro.graph.build import build_interaction_graph, extend_interaction_graph
 from repro.logs import AdhocLogGenerator, OLAPLogGenerator, SDSSLogGenerator
 from repro.logs.sessions import segment_asts
 from repro.sqlparser import parse_sql
+from repro.widgets import WidgetDomain
 
 
 def _family_log(family: str) -> list:
@@ -76,18 +77,38 @@ def summary(widgets):
     return [(w.widget_type.name, str(w.path), w.domain.size) for w in widgets]
 
 
+def domains(widgets):
+    """Each widget's domain entries in order and its diff pairs: the
+    delta-maintained domains must match a fresh build exactly."""
+    return [
+        (
+            [None if e is None else e.fingerprint for e in w.domain.entries()],
+            [(d.q1, d.q2) for d in w.D],
+        )
+        for w in widgets
+    ]
+
+
 class TestMapperParity:
-    @pytest.mark.parametrize("family", ALL_FAMILIES)
-    def test_incremental_equals_global_at_every_append(self, family):
+    # window 4 inserts new diffs inside partitions (full domain rebuilds);
+    # window 2 only appends at partition tails (domain extension)
+    @pytest.mark.parametrize(
+        "family, window",
+        [(f, 4) for f in ALL_FAMILIES] + [(f, 2) for f in ALL_FAMILIES],
+        ids=ALL_FAMILIES + [f"{f}-window2" for f in ALL_FAMILIES],
+    )
+    def test_incremental_equals_global_at_every_append(self, family, window):
         asts = _family_log(family)
-        options = PipelineOptions(window=4)
+        options = PipelineOptions(window=window)
         cache = MapCache()
-        graph = build_interaction_graph(asts[: len(asts) // 2], window=4)
+        graph = build_interaction_graph(asts[: len(asts) // 2], window=window)
         cache.index.update(graph.diffs)
         step = max(1, len(asts) // 10)
         checkpoints = list(range(len(asts) // 2, len(asts), step))
         for start in checkpoints:
-            extend_interaction_graph(graph, asts[start : start + step], window=4)
+            extend_interaction_graph(
+                graph, asts[start : start + step], window=window
+            )
             cache.index.update(graph.diffs)
             widgets, _, _ = initialize_indexed(
                 cache, options.library, options.annotations
@@ -104,6 +125,7 @@ class TestMapperParity:
                 leaf_diffs=[d for d in reference_diffs if d.is_leaf],
             )
             assert summary(merged) == summary(reference)
+            assert domains(merged) == domains(reference)
 
     def test_clean_components_are_reused(self):
         """The dirty-set worklist must actually shrink work: on a log with
@@ -257,3 +279,83 @@ class TestWindowReuse:
             stats = result.run.stage("merge").stats
             reused += stats["n_components_reused"]
         assert reused > 0
+
+
+def _steady_state(asts, preload, window=2):
+    """A mapper-level session: the graph, its MapCache, and an ``append``
+    that extends the graph and re-runs Initialize + Merge the way
+    :class:`InterfaceSession` does."""
+    options = PipelineOptions(window=window)
+    cache = MapCache()
+    graph = build_interaction_graph(asts[:preload], window=window)
+
+    def append(batch):
+        if batch:
+            extend_interaction_graph(graph, batch, window=window)
+        cache.index.update(graph.diffs)
+        widgets, _, _ = initialize_indexed(
+            cache, options.library, options.annotations
+        )
+        return merge_widgets_incremental(
+            widgets, options.library, options.annotations, cache
+        )[0]
+
+    append([])
+    return graph, cache, append
+
+
+class TestSteadyStateCost:
+    def test_domain_scans_do_not_grow_with_the_log(self, monkeypatch):
+        """O(batch) without a clock: the entries domain construction
+        scans per four-query SDSS append (window 2) are the same at 1k
+        and at 2k queries, and bounded by the batch's new diffs — the
+        partitions' domains are extended, not rebuilt."""
+        scanned = [0]
+        absorb = WidgetDomain._absorb
+
+        def counting(self, entries):
+            entries = list(entries)
+            scanned[-1] += len(entries)
+            return absorb(self, entries)
+
+        monkeypatch.setattr(WidgetDomain, "_absorb", counting)
+        asts = SDSSLogGenerator(seed=0).client_log(
+            "C1", "object_lookup", 2020
+        ).asts()
+        graph, _cache, append = _steady_state(asts, 1000)
+
+        def probe(start):
+            counts = []
+            for offset in range(start, start + 20, 4):
+                n_diffs = len(graph.diffs)
+                scanned.append(0)
+                append(asts[offset : offset + 4])
+                counts.append(scanned[-1])
+                # two entries per new diff for Initialize, two per kept
+                # new diff for each merge-step rebuild
+                assert scanned[-1] <= 4 * (len(graph.diffs) - n_diffs)
+            return counts
+
+        at_1k = probe(1000)
+        append(asts[1020:2000])
+        at_2k = probe(2000)
+        assert max(at_2k) <= max(at_1k)
+        assert sum(at_2k) <= sum(at_1k) * 1.5
+
+    def test_merge_memos_stay_bounded(self):
+        """Superseded widgets are released: over 200 appends the window
+        memo's tokens and steps and the rebuild memo do not grow."""
+        asts = SDSSLogGenerator(seed=0).client_log(
+            "C1", "object_lookup", 1100
+        ).asts()
+        _graph, cache, append = _steady_state(asts, 300)
+        sizes = []
+        for start in range(300, 1100, 4):
+            append(asts[start : start + 4])
+            windows = cache.window_memo()
+            sizes.append(
+                (len(windows._tokens), len(windows.steps), len(cache.rebuilds))
+            )
+        assert len(sizes) == 200
+        assert max(sizes) == max(sizes[:10])
+        assert max(max(size) for size in sizes) <= 8
